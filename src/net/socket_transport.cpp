@@ -420,21 +420,27 @@ void SocketTransport::send(const Message& m) {
   queue_frame(*p, payload, Clock::now());
 }
 
-void SocketTransport::heard_from(std::int64_t node, Clock::time_point now) {
-  if (node < 0) return;
+SocketTransport::Peer* SocketTransport::heard_from(std::int64_t node,
+                                                   Clock::time_point now) {
+  if (node < 0) return nullptr;
   Peer* p = peer_for(static_cast<std::uint32_t>(node));
-  if (p == nullptr) return;
+  if (p == nullptr) return nullptr;
   p->last_heard = now;
   if (p->down) {
     p->down = false;
     ++stats_.peers_resurrected;
-    // The peer is demonstrably back: forget the accumulated dial failures
-    // and redial immediately instead of sitting out the capped backoff.
-    if (p->fd < 0) {
-      p->attempt = 0;
-      p->next_dial = now;
-    }
+    redial_now(*p, now);
   }
+  return p;
+}
+
+void SocketTransport::redial_now(Peer& p, Clock::time_point now) {
+  // The peer is demonstrably up: forget the accumulated dial failures and
+  // redial at the next pump instead of sitting out the backoff. A link
+  // that is connected or connecting is left alone.
+  if (p.fd >= 0) return;
+  p.attempt = 0;
+  p.next_dial = now;
 }
 
 bool SocketTransport::read_conn(InConn& c, Clock::time_point now) {
@@ -460,7 +466,8 @@ bool SocketTransport::read_conn(InConn& c, Clock::time_point now) {
         if (pf.control.kind == WireKind::kHello) {
           c.node = static_cast<std::int64_t>(pf.control.a);
           ++stats_.hellos_received;
-          heard_from(c.node, now);
+          // A Hello is proof of life: its sender listens before it dials.
+          if (Peer* p = heard_from(c.node, now)) redial_now(*p, now);
           if (peer_status_ && c.node >= 0) {
             peer_status_(static_cast<std::uint32_t>(c.node), pf.control.b);
           }

@@ -15,6 +15,10 @@
 //  - a failed or broken dial retries with bounded deterministic
 //    exponential backoff + jitter (same splitmix64-seeded shape as
 //    DispatchOptions backoff);
+//  - a Hello is proof of life: when one arrives from a registered peer
+//    whose outbound link is down (not connected, not connecting), its
+//    backoff resets and it is redialled at the next pump() instead of at
+//    its backoff rung (a link that is up or mid-dial is left alone);
 //  - liveness is heartbeat-based: every established outbound connection
 //    carries a Heartbeat control frame each heartbeat_interval, and a peer
 //    from which nothing (hello/heartbeat/message) has been heard for
@@ -224,7 +228,9 @@ class SocketTransport final : public Transport {
                    Clock::time_point now);
   void queue_control(Peer& p, const ControlFrame& f, Clock::time_point now);
   bool read_conn(InConn& c, Clock::time_point now);  // false = drop conn
-  void heard_from(std::int64_t node, Clock::time_point now);
+  /// Refreshes the peer's liveness; returns it (nullptr if unregistered).
+  Peer* heard_from(std::int64_t node, Clock::time_point now);
+  void redial_now(Peer& p, Clock::time_point now);
   void check_deadlines(Clock::time_point now);
   void emit_heartbeats(Clock::time_point now);
 

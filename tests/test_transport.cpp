@@ -427,6 +427,60 @@ TEST(SocketTransport, ResurrectedPeerResetsDialBackoff) {
   EXPECT_EQ(a.reconnect_attempt(9), -1);  // unknown node sentinel
 }
 
+TEST(SocketTransport, HelloFromPeerRedialsBeforeBackoffExpires) {
+  // A Hello is proof that its sender is up and listening (it binds before
+  // it dials). A peer whose outbound link is down must be redialled at
+  // once, not after the backoff rung it earned while absent — and long
+  // before the peer timeout could resurrect it.
+  TempDir dir;
+  auto opts = fast_opts();
+  opts.peer_timeout = 1000ms;
+  opts.reconnect_base = 10s;
+  opts.reconnect_cap = 10s;
+  net::SocketTransport a(0, "unix:" + dir.file("a.sock"), opts);
+  a.add_peer(1, "unix:" + dir.file("b.sock"));
+  a.map_pid(sim::ProcessId(5), 1);
+
+  // One failed dial to the absent peer: the next rung is >= 7.5 s away.
+  a.pump(0ms);
+  ASSERT_EQ(a.stats().dial_attempts, 1u);
+  ASSERT_EQ(a.reconnect_attempt(1), 1);
+  a.send(money_message(41, 4, 5, 7));
+
+  // A Hello from a node that is not a registered peer is ignored.
+  net::SocketTransport stranger(7, "unix:" + dir.file("s.sock"), opts);
+  stranger.add_peer(0, "unix:" + dir.file("a.sock"));
+  ASSERT_TRUE(pump_until({&a, &stranger},
+                         [&] { return a.stats().hellos_received > 0; },
+                         3000ms));
+  (void)pump_until({&a, &stranger}, [] { return false; }, 50ms);
+  EXPECT_EQ(a.stats().dial_attempts, 1u);
+  EXPECT_EQ(a.reconnect_attempt(1), 1);
+
+  net::SocketTransport b(1, "unix:" + dir.file("b.sock"), opts);
+  b.add_peer(0, "unix:" + dir.file("a.sock"));
+  std::vector<Message> got;
+  b.set_receive_handler([&](Message&& m) { got.push_back(std::move(m)); });
+  ASSERT_TRUE(pump_until({&a, &b},
+                         [&] { return a.peer_connected(1) && !got.empty(); },
+                         500ms))
+      << "A sat out its backoff instead of redialling on B's Hello";
+  EXPECT_EQ(a.reconnect_attempt(1), 0);
+  EXPECT_EQ(got[0].id, 41u);
+  EXPECT_EQ(a.stats().peers_resurrected, 0u);  // never declared down
+
+  // A re-announced Hello on the live link leaves it alone: no second dial.
+  const auto dials = a.stats().dial_attempts;
+  const auto hellos = a.stats().hellos_received;
+  b.set_hello_status(net::hello_status_word(2, false));
+  ASSERT_TRUE(pump_until(
+      {&a, &b}, [&] { return a.stats().hellos_received > hellos; }, 3000ms));
+  (void)pump_until({&a, &b}, [] { return false; }, 50ms);
+  EXPECT_EQ(a.stats().dial_attempts, dials);
+  EXPECT_TRUE(a.peer_connected(1));
+  EXPECT_EQ(a.reconnect_attempt(1), 0);
+}
+
 // ------------------------------------ hello status & catch-up frames
 
 TEST(SocketTransport, HelloStatusIsAnnouncedAndReannounced) {
@@ -836,6 +890,59 @@ TEST(NodeCommittee, SurvivesKillNineOfOneNotary) {
   }
   EXPECT_TRUE(seen_peer_down)
       << "no survivor reported the killed notary down";
+}
+
+TEST(NodeCommittee, LateClientCertifiesInsideOldBackoffBand) {
+  const std::string bin = node_bin_or_skip();
+  if (bin.empty()) GTEST_SKIP() << "xcp_node binary not found";
+
+  // Notaries dial the absent client with backoff 25, 50, 100, 200, 400 ms
+  // +/-25%, jitter keyed by the scenario seed. Under seed 29 their 4th and
+  // 5th dials fall at ~349 and ~838 ms after spawn, so a client that comes
+  // up at 0.40-0.48 s (inside the 600 ms peer timeout) waits on the 5th
+  // dial — later than the notaries' 300 ms linger after deciding, so the
+  // certificate would never arrive. Its Hello must trigger the redial.
+  consensus::StandaloneCommittee sc;
+  sc.seed = 29;
+  crypto::KeyRegistry keys = sc.make_keys();
+  auto config = sc.make_config(keys);
+  net::WireContext wctx;
+  wctx.roster = &config->members;
+  for (const auto delay : {400ms, 440ms, 480ms}) {
+    SCOPED_TRACE("client delay " + std::to_string(delay.count()) + " ms");
+    TempDir dir;
+    const std::vector<std::string> common = {
+        "--sock-dir", dir.path, "--seed", std::to_string(sc.seed),
+        "--wall-limit-ms", "10000"};
+    const auto spawned = std::chrono::steady_clock::now();
+    std::vector<pid_t> notary_pids;
+    for (int k = 0; k < sc.notaries; ++k) {
+      auto args = common;
+      args.insert(args.end(), {"--node-id", std::to_string(k)});
+      const pid_t pid =
+          spawn_node(bin, args, dir.file("out-" + std::to_string(k)));
+      ASSERT_GT(pid, 0);
+      notary_pids.push_back(pid);
+    }
+    std::this_thread::sleep_until(spawned + delay);
+    auto client_args = common;
+    client_args.insert(client_args.end(),
+                       {"--node-id", std::to_string(sc.notaries)});
+    const pid_t client = spawn_node(bin, client_args, dir.file("out-client"));
+    ASSERT_GT(client, 0);
+
+    EXPECT_EQ(wait_exit(client), 0) << slurp(dir.file("out-client.err"));
+    for (int k = 0; k < sc.notaries; ++k) {
+      EXPECT_EQ(wait_exit(notary_pids[static_cast<std::size_t>(k)]), 0)
+          << slurp(dir.file("out-" + std::to_string(k) + ".err"));
+    }
+    const std::string out = slurp(dir.file("out-client"));
+    const std::string cert_line = line_with_prefix(out, "CERT ");
+    ASSERT_FALSE(cert_line.empty()) << out;
+    EXPECT_TRUE(crypto::verify_quorum_cert(
+        keys, net::parse_certificate(from_hex(cert_line.substr(5)), wctx),
+        config->members, static_cast<std::size_t>(config->quorum())));
+  }
 }
 
 }  // namespace
