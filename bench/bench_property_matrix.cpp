@@ -16,19 +16,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <iostream>
-#include <memory>
-#include <optional>
-#include <sstream>
-#include <unistd.h>
+#include <limits>
 #include <string>
+#include <vector>
 
-#include "exp/dispatch.hpp"
-#include "exp/host_pool.hpp"
-#include "exp/remote.hpp"
 #include "exp/runner.hpp"
-#include "exp/shard.hpp"
 #include "support/table.hpp"
 
 using namespace xcp;
@@ -68,131 +61,28 @@ int main(int argc, char** argv) {
   // twice and online verdicts are required to equal the post-mortem
   // checkers event-for-event (throws on divergence). Verdicts are
   // identical in every mode; only wall-clock and footprint differ.
-  // --shards "1,2,4": after the matrix, sweep the whole 6x4 grid again
-  // through exp::distributed_sweep at each shard count and print the
-  // scaling curve (results are verified byte-identical to the
-  // single-process matrix as they stream). --worker PATH selects the
-  // xcp_sweep_shard binary; default $XCP_SWEEP_SHARD_BIN, then
-  // ./xcp_sweep_shard, then in-process shards (wire round-trip, no exec).
-  // --fault SPEC (repeatable) and --fault-delay-ms MS forward the worker's
-  // fault-injection flags through the dispatcher, so the supervision
-  // overhead (retries, deadline kills, hedges) can be measured under a
-  // chosen fault schedule. Report-only: the dispatch report is printed
-  // after the scaling table and never gates the bench — byte-identity of
-  // the recovered results is still enforced.
-  // --hosts A,B,... runs the scaling sweep through the elastic remote
-  // launcher over those execution hosts (--remote ssh for real hosts,
-  // --remote sh to exec through /bin/sh on this machine — the CI
-  // smoke-test shape); hosts are probed first, the measured startup cost
-  // feeds the min-seeds-per-shard heuristic, and the dispatch report
-  // gains per-host rollups. --hosts-file FILE reads the same inventory
-  // from a file instead — one host[:slots] per line, # comments — the
-  // shape a cluster scheduler hands out; it composes with --hosts.
   bool buffered = false;
   bool full_horizon = false;
   bool differential = false;
   std::size_t kSeeds = 8;
-  std::vector<unsigned> shard_counts;
-  std::string worker_path;
-  std::vector<std::string> fault_args;
-  std::vector<exp::HostSpec> hosts;
-  std::string remote_kind = "sh";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--buffered") == 0) buffered = true;
     if (std::strcmp(argv[i], "--full-horizon") == 0) full_horizon = true;
     if (std::strcmp(argv[i], "--differential") == 0) differential = true;
     // Strict positive-integer parsing: std::stoul would terminate the
-    // process on "--shards 1,x" and accept "--shards 0", which aborts
-    // later inside plan_shards; both should be usage errors.
-    const auto parse_positive = [&](const char* tok, const char* flag,
-                                    std::size_t& out) {
+    // process on "--seeds x" and accept "--seeds 0"; both are usage errors.
+    if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
+      const char* tok = argv[++i];
       char* end = nullptr;
       const unsigned long v = std::strtoul(tok, &end, 10);
       if (end == tok || *end != '\0' || v == 0 ||
           v > std::numeric_limits<unsigned>::max()) {
-        std::cerr << "bad " << flag << " value '" << tok
+        std::cerr << "bad --seeds value '" << tok
                   << "' (want a positive integer)\n";
-        std::exit(2);
-      }
-      out = static_cast<std::size_t>(v);
-    };
-    if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-      parse_positive(argv[++i], "--seeds", kSeeds);
-    }
-    if (std::strcmp(argv[i], "--worker") == 0 && i + 1 < argc) {
-      worker_path = argv[++i];
-    }
-    if (std::strcmp(argv[i], "--fault") == 0 && i + 1 < argc) {
-      fault_args.insert(fault_args.end(), {"--fault", argv[++i]});
-    }
-    if (std::strcmp(argv[i], "--fault-delay-ms") == 0 && i + 1 < argc) {
-      fault_args.insert(fault_args.end(), {"--fault-delay-ms", argv[++i]});
-    }
-    if (std::strcmp(argv[i], "--hosts") == 0 && i + 1 < argc) {
-      std::istringstream list(argv[++i]);
-      std::string tok;
-      while (std::getline(list, tok, ',')) {
-        if (!tok.empty()) hosts.push_back({tok, 0});
-      }
-    }
-    if (std::strcmp(argv[i], "--hosts-file") == 0 && i + 1 < argc) {
-      try {
-        auto specs = exp::parse_hosts_file(argv[++i]);
-        hosts.insert(hosts.end(), specs.begin(), specs.end());
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << "\n";
         return 2;
       }
+      kSeeds = static_cast<std::size_t>(v);
     }
-    if (std::strcmp(argv[i], "--remote") == 0 && i + 1 < argc) {
-      remote_kind = argv[++i];
-      if (remote_kind != "sh" && remote_kind != "ssh") {
-        std::cerr << "--remote must be sh or ssh\n";
-        return 2;
-      }
-    }
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      std::istringstream list(argv[++i]);
-      std::string tok;
-      while (std::getline(list, tok, ',')) {
-        if (tok.empty()) continue;
-        std::size_t k = 0;
-        parse_positive(tok.c_str(), "--shards", k);
-        shard_counts.push_back(static_cast<unsigned>(k));
-      }
-    }
-  }
-  if (!shard_counts.empty()) {
-    // distributed_sweep shards the streaming sweep; the buffered and
-    // differential modes have no sharded counterpart to compare against.
-    if (buffered || differential) {
-      std::cerr << "--shards cannot be combined with --buffered or "
-                   "--differential\n";
-      return 2;
-    }
-    if (worker_path.empty()) {
-      try {
-        worker_path = exp::default_worker_path();
-      } catch (const std::exception& e) {  // env var set but unusable
-        std::cerr << e.what() << "\n";
-        return 2;
-      }
-    } else if (access(worker_path.c_str(), X_OK) != 0) {
-      std::cerr << "--worker '" << worker_path
-                << "' is not an executable file\n";
-      return 2;
-    }
-  }
-  if (!fault_args.empty() &&
-      (shard_counts.empty() || worker_path.empty())) {
-    std::cerr << "--fault requires --shards and a worker binary "
-                 "(in-process shards cannot inject process faults)\n";
-    return 2;
-  }
-  if (!hosts.empty() && (shard_counts.empty() || worker_path.empty())) {
-    std::cerr << "--hosts requires --shards and a worker binary "
-                 "(remote execution needs a deployable worker)\n";
-    return 2;
   }
   constexpr int kN = 2;
   const auto run_cell = [&](ProtocolKind p, Regime r) {
@@ -281,122 +171,5 @@ int main(int argc, char** argv) {
                                     : "streaming + online early stop";
   std::printf("\nsweep mode: %s, total %.1f ms, peak RSS (VmHWM):%s\n", mode,
               total_ms, peak_rss().c_str());
-
-  // ---------------------------------------------- shard-count scaling curve
-  if (!shard_counts.empty()) {
-    const auto matrix_wall = [&](auto&& cell_fn) {
-      const auto t0 = std::chrono::steady_clock::now();
-      std::vector<exp::MatrixCell> cells;
-      for (ProtocolKind p : protocols) {
-        for (Regime r : regimes) cells.push_back(cell_fn(p, r));
-      }
-      const double ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      return std::pair(std::move(cells), ms);
-    };
-
-    std::cout << "\n== distributed sweep scaling (whole 6x4 matrix per K, "
-              << kSeeds << " seeds/cell"
-              << (full_horizon ? ", full horizon" : "") << ") ==\n"
-              << "transport: "
-              << (worker_path.empty()
-                      ? "in-process shards (wire round-trip, no exec)"
-                      : "worker processes (" + worker_path + ")")
-              << "\n";
-
-    // The scaling sweep honours --full-horizon: reference and shards must
-    // run the same monitor mode or the comparison (and the numbers) would
-    // silently measure a different sweep than the one requested.
-    exp::CellOptions copts;
-    copts.online.early_stop = !full_horizon;
-    const auto [reference, single_ms] =
-        matrix_wall([&](ProtocolKind p, Regime r) {
-          return exp::run_matrix_cell(p, r, kN, kSeeds, 1, copts);
-        });
-
-    exp::DistributedOptions dopts;
-    dopts.worker_path = worker_path;
-    dopts.cell = copts;
-    dopts.dispatch.extra_worker_args = fault_args;
-
-    std::optional<exp::HostPool> pool;
-    std::unique_ptr<exp::RemoteLauncher> remote;
-    if (!hosts.empty()) {
-      pool.emplace();
-      for (const exp::HostSpec& h : hosts) pool->add_host(h.host, h.slots);
-      remote = std::make_unique<exp::RemoteLauncher>(
-          *pool, remote_kind == "ssh" ? exp::RemoteOptions::ssh_template()
-                                      : exp::RemoteOptions::sh_template());
-      remote->probe_hosts();
-      // The reference pass just measured the sweep's seed throughput;
-      // amortize the slowest probed startup against it so no shard is
-      // dominated by transport setup.
-      const double seeds_per_second =
-          single_ms > 0.0
-              ? static_cast<double>(protocols.size() * regimes.size() *
-                                    kSeeds) /
-                    (single_ms / 1000.0)
-              : 0.0;
-      dopts.min_seeds_per_shard =
-          remote->recommended_min_seeds(seeds_per_second);
-      dopts.dispatch.launcher = remote.get();
-      std::cout << "remote hosts (" << remote_kind << " transport):";
-      for (const auto& st : pool->stats()) {
-        std::cout << " " << st.host << "=" << exp::host_state_name(st.state);
-        if (st.startup_cost.count() >= 0) {
-          std::cout << "/" << st.startup_cost.count() << "ms";
-        }
-      }
-      std::cout << "; min seeds/shard " << dopts.min_seeds_per_shard << "\n";
-    }
-
-    exp::DispatchReport dispatch_report;
-    dopts.report = &dispatch_report;
-    Table scaling({"shards", "wall-clock", "vs single-process", "verified"});
-    {
-      char wall[32];
-      std::snprintf(wall, sizeof(wall), "%.2f ms", single_ms);
-      scaling.add_row({"(single process)", wall, "1.00x", "reference"});
-    }
-    for (const unsigned k : shard_counts) {
-      // A worker that fails mid-sweep (killed, OOM, bad deploy) surfaces
-      // as an exception from distributed_sweep; report it instead of
-      // letting it std::terminate the bench.
-      auto sharded_matrix = [&] {
-        try {
-          return matrix_wall([&](ProtocolKind p, Regime r) {
-            return exp::distributed_sweep(p, r, kN, kSeeds, k, 1, dopts);
-          });
-        } catch (const std::exception& e) {
-          std::cerr << "FATAL: distributed sweep at K=" << k
-                    << " failed: " << e.what() << "\n";
-          std::exit(1);
-        }
-      };
-      const auto [cells, ms] = sharded_matrix();
-      // Field-complete by construction: MatrixCell::operator== is
-      // defaulted, so a future field automatically joins the check.
-      if (!(cells == reference)) {
-        std::cerr << "FATAL: distributed sweep at K=" << k
-                  << " diverged from the single-process matrix\n";
-        return 1;
-      }
-      char wall[32];
-      std::snprintf(wall, sizeof(wall), "%.2f ms", ms);
-      char rel[32];
-      std::snprintf(rel, sizeof(rel), "%.2fx", single_ms / ms);
-      scaling.add_row({std::to_string(k), wall, rel, "byte-identical"});
-    }
-    std::cout << "\n";
-    scaling.print(std::cout,
-                  "distributed_sweep wall-clock by shard count (every K "
-                  "verified byte-identical to the single-process cells)");
-    // Supervision telemetry across every K above. Report-only by design:
-    // retries/timeouts/hedges vary with machine load (and with any
-    // injected --fault schedule), so this never gates — the byte-identity
-    // check above is the gate.
-    std::cout << "\n" << dispatch_report.to_string() << "\n";
-  }
   return 0;
 }

@@ -1,7 +1,6 @@
 #pragma once
 // The supervised socket backend of the net::Transport seam: real
-// non-blocking sockets between processes, multiplexed by poll() in the
-// style of exp/dispatch.cpp's worker supervisor.
+// non-blocking sockets between processes, multiplexed by one poll() loop.
 //
 // Topology: every node listens on one address and dials one outbound
 // connection to each peer. Sends travel only on the dialed connection;
@@ -9,12 +8,11 @@
 // Hello control frame. Two simplex channels per pair keeps connection
 // management trivially race-free (no simultaneous-open dedup).
 //
-// Supervision, mirroring the dispatcher's policy rungs:
+// Supervision policy:
 //  - length-prefix framing survives partial reads and short writes (frames
 //    are reassembled per-connection; writes keep a bounded pending buffer);
 //  - a failed or broken dial retries with bounded deterministic
-//    exponential backoff + jitter (same splitmix64-seeded shape as
-//    DispatchOptions backoff);
+//    exponential backoff + splitmix64-seeded jitter;
 //  - a Hello is proof of life: when one arrives from a registered peer
 //    whose outbound link is down (not connected, not connecting), its
 //    backoff resets and it is redialled at the next pump() instead of at

@@ -65,8 +65,7 @@ void put_str(std::vector<std::uint8_t>& out, const std::string& s,
 // ------------------------------------------------- bounds-checked reader
 
 /// Every read names its decode context and the byte offset into the frame;
-/// any shortfall or invalid value raises WireError carrying both (the same
-/// diagnostic shape as exp::WireError in the shard transport).
+/// any shortfall or invalid value raises WireError carrying both.
 struct Reader {
   const std::uint8_t* base;
   const std::uint8_t* p;

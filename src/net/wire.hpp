@@ -5,9 +5,8 @@
 //
 // Layout follows the production-consensus idiom (fixed-width little-endian
 // fields, uint8 message-type enums, versioned headers, participation
-// bitmaps for quorum certificates) and the framing idiom exp/shard.cpp
-// already established in-repo (magic + version header, typed WireError on
-// anything malformed). Design rules:
+// bitmaps for quorum certificates) with a magic + version header and a
+// typed WireError on anything malformed. Design rules:
 //
 //  - Every multi-byte integer is little-endian at a fixed width.
 //  - A frame starts with magic "XCPM", u16 version, u16 flags (must be 0).
@@ -38,9 +37,8 @@
 
 namespace xcp::net {
 
-/// Typed parse/validation failure. Mirrors the diagnostic shape of
-/// exp::WireError: the what() string always names the decode context and
-/// the byte offset where decoding failed, e.g.
+/// Typed parse/validation failure. The what() string always names the
+/// decode context and the byte offset where decoding failed, e.g.
 ///   "protocol wire: truncated VoteMsg: need 8 byte(s) at offset 23, 2 left"
 class WireError : public std::runtime_error {
  public:

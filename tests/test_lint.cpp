@@ -494,6 +494,36 @@ TEST(LintBaseline, MalformedLinesAreRejectedWithLineNumbers) {
   EXPECT_NE(error.find("unknown rule"), std::string::npos) << error;
 }
 
+// ------------------------------------------------------ default scopes
+//
+// Every path the default Config names must exist in the source tree: a
+// renamed or deleted file would otherwise leave its rule silently checking
+// nothing. ctest hands the tree's root in via XCP_SOURCE_ROOT.
+
+TEST(LintConfig, DefaultScopesNameExistingPaths) {
+  const char* root_env = std::getenv("XCP_SOURCE_ROOT");
+  ASSERT_NE(root_env, nullptr) << "XCP_SOURCE_ROOT is unset (ctest sets it)";
+  const fs::path root(root_env);
+  const Config c;
+  const auto expect_scope = [&](const std::string& scope) {
+    // A trailing slash marks a directory scope; anything else is a file.
+    if (!scope.empty() && scope.back() == '/') {
+      EXPECT_TRUE(fs::is_directory(root / scope)) << scope;
+    } else {
+      EXPECT_TRUE(fs::is_regular_file(root / scope)) << scope;
+    }
+  };
+  for (const auto* scopes :
+       {&c.determinism_scopes, &c.iteration_extra_scopes, &c.loop_scopes,
+        &c.wire_scopes, &c.kind_switch_extra_scopes}) {
+    EXPECT_FALSE(scopes->empty());
+    for (const std::string& scope : *scopes) expect_scope(scope);
+  }
+  for (const HotFunction& hot : c.hot_functions) {
+    expect_scope(std::string(hot.file_suffix));
+  }
+}
+
 // ---------------------------------------------------------------- exit codes
 //
 // The spawned binary's contract (lint_exit), exercised against throwaway

@@ -338,8 +338,8 @@ TEST(Wire, ParseControlRejectsMessagesAndTruncation) {
 }
 
 TEST(Wire, ErrorsCarryByteOffsetInMessageAndAccessor) {
-  // The diagnostic contract shared with exp::WireError: the offset of the
-  // failure appears both in what() and via offset().
+  // The diagnostic contract: the offset of the failure appears both in
+  // what() and via offset().
   Message m = corpus()[1];
   Bytes buf = serialize_message(m);
   buf.resize(buf.size() - 3);  // truncate mid-body

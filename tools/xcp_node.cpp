@@ -45,9 +45,9 @@
 //   OUTCOME value=... cert=... ...   client node, once all participants have
 //   CERT <hex>                       the decision certificate, wire-encoded
 //
-// Exit codes (net/node_exit.hpp, mirroring exp::worker_exit): 0 decided/
-// certified, 2 usage, 3 wall-clock timeout, 4 unrecoverable wire error,
-// 5 journal corrupt beyond recovery, 6 internal error.
+// Exit codes (net/node_exit.hpp): 0 decided/certified, 2 usage, 3 wall-clock
+// timeout, 4 unrecoverable wire error, 5 journal corrupt beyond recovery,
+// 6 internal error.
 
 #include <algorithm>
 #include <cstdio>
