@@ -70,9 +70,9 @@ bool NodeRuntime::run(Millis wall_limit, const std::function<bool()>& done) {
   }
 }
 
-void NodeRuntime::linger(Millis extra) {
-  const auto until = wall_now() + extra;
-  while (wall_now() < until) {
+void NodeRuntime::linger(Millis bound) {
+  const auto until = wall_now() + bound;
+  while (wall_now() < until && !transport_.settled()) {
     advance_to_wall();
     transport_.pump(kMaxPump);
   }

@@ -44,9 +44,11 @@ class NodeRuntime {
   /// by the next pending virtual event.
   bool run(Millis wall_limit, const std::function<bool()>& done);
 
-  /// Keeps the clock advancing and the transport pumping for `extra` more
-  /// wall time — lets decision broadcasts and relays drain after run().
-  void linger(Millis extra);
+  /// Keeps the clock advancing and the transport pumping after run() so
+  /// decision broadcasts, relays and catch-up answers drain. Returns as soon
+  /// as the transport has settled (every peer announced the decided tier and
+  /// has left or holds this node's flushed output), or once `bound` elapses.
+  void linger(Millis bound);
 
  private:
   void advance_to_wall();

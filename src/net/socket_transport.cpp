@@ -199,6 +199,14 @@ bool SocketTransport::peer_connected(std::uint32_t node) const {
   return p != nullptr && p->fd >= 0 && !p->connecting;
 }
 
+bool SocketTransport::settled() const {
+  return std::all_of(peers_.begin(), peers_.end(), [](const Peer& p) {
+    const bool flushed =
+        p.fd >= 0 && !p.connecting && p.tx_off == p.tx.size();
+    return hello_status_tier(p.status) >= 2 && (p.left || flushed);
+  });
+}
+
 std::chrono::milliseconds dial_backoff(const SocketTransportOptions& opts,
                                        std::uint32_t node, int attempt) {
   // Deterministic retry backoff: exponential in the attempt number, capped,
@@ -444,6 +452,7 @@ void SocketTransport::redial_now(Peer& p, Clock::time_point now) {
 }
 
 bool SocketTransport::read_conn(InConn& c, Clock::time_point now) {
+  bool open = true;
   for (;;) {
     std::uint8_t buf[kReadChunk];
     const ssize_t n = ::recv(c.fd, buf, sizeof buf, 0);
@@ -452,10 +461,12 @@ bool SocketTransport::read_conn(InConn& c, Clock::time_point now) {
       if (static_cast<std::size_t>(n) < sizeof buf) break;
       continue;
     }
-    if (n == 0) return false;  // EOF
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    return false;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (n < 0 && errno == EINTR) continue;
+    // EOF or a read error: the frames already buffered (a peer's last
+    // words before it exits) are still dispatched below.
+    open = false;
+    break;
   }
   try {
     std::vector<std::uint8_t> frame;
@@ -467,7 +478,11 @@ bool SocketTransport::read_conn(InConn& c, Clock::time_point now) {
           c.node = static_cast<std::int64_t>(pf.control.a);
           ++stats_.hellos_received;
           // A Hello is proof of life: its sender listens before it dials.
-          if (Peer* p = heard_from(c.node, now)) redial_now(*p, now);
+          if (Peer* p = heard_from(c.node, now)) {
+            p->status = pf.control.b;
+            p->left = false;
+            redial_now(*p, now);
+          }
           if (peer_status_ && c.node >= 0) {
             peer_status_(static_cast<std::uint32_t>(c.node), pf.control.b);
           }
@@ -497,7 +512,7 @@ bool SocketTransport::read_conn(InConn& c, Clock::time_point now) {
     ++stats_.wire_rejects;
     return false;
   }
-  return true;
+  return open;
 }
 
 void SocketTransport::emit_heartbeats(Clock::time_point now) {
@@ -599,6 +614,10 @@ bool SocketTransport::pump(Millis max_wait) {
         case Slot::kConn: {
           InConn& c = conns_[idx];
           if (!read_conn(c, now)) {
+            // The peer left; its next Hello (a redial) clears this again.
+            Peer* p = c.node < 0 ? nullptr
+                                 : peer_for(static_cast<std::uint32_t>(c.node));
+            if (p != nullptr) p->left = true;
             close_quietly(c.fd);  // compacted below
           }
           break;

@@ -185,6 +185,13 @@ class SocketTransport final : public Transport {
   bool peer_up(std::uint32_t node) const;
   bool peer_connected(std::uint32_t node) const;
 
+  /// True when this node owes no peer anything more: every registered peer
+  /// has announced the decided tier (>= 2) in its latest Hello, and either
+  /// has left (its inbound connection closed after that Hello) or sits
+  /// behind a connected outbound link with no unflushed bytes — so this
+  /// node's own latest status has reached the kernel on its way to it.
+  bool settled() const;
+
   const SocketTransportStats& stats() const { return stats_; }
   std::uint32_t self_node() const { return self_; }
 
@@ -204,6 +211,8 @@ class SocketTransport final : public Transport {
     Clock::time_point next_dial;
     Clock::time_point last_heard;
     bool down = false;
+    std::uint64_t status = 0;  // from its latest Hello
+    bool left = false;         // inbound connection closed since that Hello
   };
 
   /// An accepted (receive-only) connection; `node` is unknown (-1) until

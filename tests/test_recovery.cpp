@@ -586,8 +586,10 @@ TEST(CrashRestart, CommitteeOutcomeSurvivesEveryCrashSchedule) {
       // reached: a non-leader victim can race the others' decision
       // broadcast and decide without ever voting.
       const int victim = 0;
-      // Generous linger so survivors stay up to serve catch-up to the
-      // respawned victim (which rejoins within a couple of seconds).
+      // A generous linger bound so survivors stay up to serve catch-up to
+      // the respawned victim (which rejoins within a couple of seconds). It
+      // is only an upper bound: survivors leave once the respawned victim
+      // announces the decided tier.
       const std::vector<std::string> common = {
           "--sock-dir",      dir.path,  "--value",        value,
           "--wall-limit-ms", "30000",   "--linger-ms",    "2500",

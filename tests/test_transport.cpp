@@ -1,9 +1,10 @@
 // Transport-seam tests: gateway interception semantics, the in-sim
 // SimTransport differential, supervised SocketTransport behaviour
 // (framing, reconnect, heartbeat death, resurrection, garbage rejection)
-// between two in-process endpoints, and the multi-process committee
-// differential that spawns real xcp_node processes over unix sockets —
-// including the kill -9 degradation demanded by the robustness criteria.
+// between two in-process endpoints, the settled-exit rule that ends a
+// node's linger, and the multi-process committee differential that spawns
+// real xcp_node processes over unix sockets — including the kill -9
+// degradation demanded by the robustness criteria.
 
 #include <gtest/gtest.h>
 
@@ -15,11 +16,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -362,6 +367,63 @@ TEST(SocketTransport, ManyMessagesReassembleAcrossPartialReads) {
   }
 }
 
+TEST(SocketTransport, FramesBufferedBeforeEofAreDelivered) {
+  // A peer that flushes its last frames and exits leaves them queued ahead
+  // of the EOF. Exactly 2 x 64 KiB fills both of the transport's reads to
+  // the brim, so the read loop goes round once more and meets the EOF with
+  // every frame still unparsed in its buffer: they must be delivered, not
+  // dropped along with the connection.
+  TempDir dir;
+  net::SocketTransport a(0, "unix:" + dir.file("a.sock"), fast_opts());
+  std::vector<std::uint64_t> got_ids;
+  a.set_receive_handler([&](Message&& m) { got_ids.push_back(m.id); });
+
+  constexpr std::size_t kTotal = 2 * 64 * 1024;
+  net::ControlFrame hb;
+  hb.kind = net::WireKind::kHeartbeat;
+  std::vector<std::uint8_t> hb_frame;
+  {
+    std::vector<std::uint8_t> payload;
+    net::serialize_control(hb, payload);
+    net::append_stream_frame(hb_frame, payload.data(), payload.size());
+  }
+  // Money frames until the rest is a short run of whole heartbeat frames.
+  std::vector<std::uint8_t> stream;
+  std::uint64_t messages = 0;
+  while ((kTotal - stream.size()) % hb_frame.size() != 0 ||
+         kTotal - stream.size() > 1024) {
+    std::vector<std::uint8_t> payload;
+    net::serialize_message(money_message(messages, 4, 5, 1), payload, {});
+    net::append_stream_frame(stream, payload.data(), payload.size());
+    ++messages;
+    ASSERT_LT(stream.size(), kTotal);
+  }
+  while (stream.size() < kTotal) {
+    stream.insert(stream.end(), hb_frame.begin(), hb_frame.end());
+  }
+  ASSERT_EQ(stream.size(), kTotal);
+
+  // Everything, EOF included, is queued before the transport's first read.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int sndbuf = 1 << 20;
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof sndbuf);
+  sockaddr_un sa{};
+  sa.sun_family = AF_UNIX;
+  std::snprintf(sa.sun_path, sizeof(sa.sun_path), "%s",
+                dir.file("a.sock").c_str());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  ASSERT_EQ(::send(fd, stream.data(), stream.size(), MSG_DONTWAIT),
+            static_cast<ssize_t>(stream.size()));
+  ::close(fd);
+
+  ASSERT_TRUE(pump_until({&a}, [&] { return got_ids.size() >= messages; },
+                         3000ms))
+      << got_ids.size() << " of " << messages << " messages delivered";
+  for (std::uint64_t i = 0; i < messages; ++i) ASSERT_EQ(got_ids[i], i);
+  EXPECT_EQ(a.stats().wire_rejects, 0u);
+}
+
 // ------------------------------------- reconnect backoff regressions
 
 TEST(SocketTransport, DialBackoffPlateausAtCapWithoutOverflow) {
@@ -621,6 +683,189 @@ TEST(NodeRuntime, WallClockJumpDeliversEveryMissedTickInOrder) {
   done = runtime.run(std::chrono::milliseconds(0), [&] { return true; });
   EXPECT_TRUE(done);
   EXPECT_EQ(fired.size(), 50u);  // nothing re-fired
+}
+
+// ----------------------------------- linger ends once peers have settled
+
+/// Pumps peer transports on a helper thread, so that a NodeRuntime on the
+/// test thread can linger against live peers. `step` runs on the helper
+/// thread once `step_after` has passed; while the helper runs, only it
+/// touches the peers.
+class BackgroundPump {
+ public:
+  explicit BackgroundPump(std::vector<net::SocketTransport*> peers,
+                          std::function<void()> step = {},
+                          std::chrono::milliseconds step_after = 0ms)
+      : thread_([this, peers, step, step_after] {
+          const auto at = std::chrono::steady_clock::now() + step_after;
+          bool stepped = !step;
+          while (!stop_) {
+            if (!stepped && std::chrono::steady_clock::now() >= at) {
+              step();
+              stepped = true;
+            }
+            for (auto* t : peers) t->pump(1ms);
+          }
+        }) {}
+  ~BackgroundPump() { stop(); }
+  BackgroundPump(const BackgroundPump&) = delete;
+  BackgroundPump& operator=(const BackgroundPump&) = delete;
+  void stop() {
+    stop_ = true;
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+/// Node 0 with a runtime, meshed with every other node of `n` by unix
+/// socket; the tests linger on node 0.
+struct LingerNode {
+  TempDir& dir;
+  sim::Simulator sim{1};
+  net::Network network{sim,
+                       net::DelayModel::synchronous(Duration::millis(1))};
+  net::SocketTransport transport;
+  net::NodeRuntime runtime{sim, network, transport};
+
+  LingerNode(TempDir& d, int n, const net::SocketTransportOptions& opts)
+      : dir(d), transport(0, sock(0), opts) {
+    for (int k = 1; k < n; ++k) transport.add_peer(k, sock(k));
+    runtime.run(0ms, [] { return true; });
+  }
+  std::string sock(int k) const {
+    return "unix:" + dir.file(std::to_string(k) + ".sock");
+  }
+  /// A peer transport for node k, meshed back to every node of `n`.
+  std::unique_ptr<net::SocketTransport> peer(
+      int k, int n, const net::SocketTransportOptions& opts,
+      std::uint32_t tier) const {
+    auto t = std::make_unique<net::SocketTransport>(k, sock(k), opts);
+    for (int j = 0; j < n; ++j) {
+      if (j != k) t->add_peer(j, sock(j));
+    }
+    t->set_hello_status(net::hello_status_word(tier, false));
+    return t;
+  }
+  std::chrono::milliseconds linger(std::chrono::milliseconds bound) {
+    const auto t0 = std::chrono::steady_clock::now();
+    runtime.linger(bound);
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::now() - t0);
+  }
+};
+
+TEST(NodeRuntime, LingerEndsOnceEveryPeerAnnouncesDecided) {
+  TempDir dir;
+  LingerNode a(dir, 3, fast_opts());
+  a.transport.set_hello_status(net::hello_status_word(2, false));
+  auto b = a.peer(1, 3, fast_opts(), 1);
+  auto c = a.peer(2, 3, fast_opts(), 1);
+  EXPECT_FALSE(a.transport.settled());
+
+  // The peers decide 100 ms in; the 5 s bound is only a ceiling.
+  std::atomic<std::int64_t> decided_at{0};
+  BackgroundPump peers(
+      {b.get(), c.get()},
+      [&] {
+        decided_at =
+            std::chrono::steady_clock::now().time_since_epoch().count();
+        b->set_hello_status(net::hello_status_word(2, false));
+        c->set_hello_status(net::hello_status_word(2, false));
+      },
+      100ms);
+  const auto took = a.linger(5000ms);
+  const auto ended =
+      std::chrono::steady_clock::now().time_since_epoch().count();
+  EXPECT_TRUE(a.transport.settled());
+  EXPECT_LT(took, 1000ms);
+  EXPECT_GT(decided_at.load(), 0);
+  EXPECT_GE(ended, decided_at.load())
+      << "linger ended before the peers decided";
+}
+
+TEST(NodeRuntime, LingerRunsOutItsBoundWhileAPeerIsUndecided) {
+  TempDir dir;
+  LingerNode a(dir, 3, fast_opts());
+  a.transport.set_hello_status(net::hello_status_word(2, false));
+  auto b = a.peer(1, 3, fast_opts(), 2);
+  auto c = a.peer(2, 3, fast_opts(), 1);  // never decides
+  BackgroundPump peers({b.get(), c.get()});
+  const auto took = a.linger(300ms);
+  EXPECT_GE(took, 300ms);
+  EXPECT_LT(took, 2000ms);
+  EXPECT_FALSE(a.transport.settled());
+  EXPECT_TRUE(a.transport.peer_connected(2)) << "the peer was reachable";
+}
+
+TEST(SocketTransport, DecidedPeerThatLeftCountsAsSettled) {
+  // Without the "left" escape, a node whose decided peer exits first would
+  // wait for an outbound link that can never come back.
+  TempDir dir;
+  LingerNode a(dir, 3, fast_opts());
+  a.transport.set_hello_status(net::hello_status_word(2, false));
+  auto b = a.peer(1, 3, fast_opts(), 2);
+  auto c = a.peer(2, 3, fast_opts(), 2);
+  ASSERT_TRUE(pump_until({&a.transport, b.get(), c.get()},
+                         [&] { return a.transport.settled(); }, 3000ms));
+
+  c.reset();  // decided, and gone
+  ASSERT_TRUE(pump_until(
+      {&a.transport, b.get()},
+      [&] { return !a.transport.peer_connected(2) && a.transport.settled(); },
+      3000ms))
+      << "connected=" << a.transport.peer_connected(2);
+  BackgroundPump peers({b.get()});
+  EXPECT_LT(a.linger(5000ms), 1000ms);
+}
+
+TEST(NodeRuntime, OwnDecidedAnnouncementReachesEveryPeerBeforeLingerEnds) {
+  // Node 0's link to node 2 is down when it decides: node 2 came up after
+  // node 0's first dial failed, and the next rung is 10 s away. Node 0 must
+  // not leave on "every peer decided" alone — node 2 would never hear that
+  // node 0 decided and would sit out its own bound.
+  TempDir dir;
+  auto slow_redial = fast_opts();
+  slow_redial.reconnect_base = 10s;
+  slow_redial.reconnect_cap = 10s;
+  std::map<std::uint32_t, std::uint32_t> tier_of_0;  // observer -> tier
+  std::optional<LingerNode> a;
+  a.emplace(dir, 3, slow_redial);
+  a->transport.set_hello_status(net::hello_status_word(1, false));
+  auto b = a->peer(1, 3, fast_opts(), 2);
+  ASSERT_TRUE(pump_until({&a->transport, b.get()},
+                         [&] { return a->transport.peer_connected(1); },
+                         3000ms));
+  ASSERT_FALSE(a->transport.peer_connected(2));
+  ASSERT_GE(a->transport.reconnect_attempt(2), 1);
+
+  auto c = a->peer(2, 3, fast_opts(), 2);
+  for (auto* t : {b.get(), c.get()}) {
+    t->set_peer_status_handler(
+        [&tier_of_0, t](std::uint32_t node, std::uint64_t status) {
+          if (node == 0) {
+            tier_of_0[t->self_node()] = net::hello_status_tier(status);
+          }
+        });
+  }
+  {
+    BackgroundPump peers({b.get(), c.get()});
+    a->transport.set_hello_status(net::hello_status_word(2, false));
+    EXPECT_LT(a->linger(5000ms), 1000ms);
+    EXPECT_TRUE(a->transport.peer_connected(2));
+  }
+  a.reset();  // node 0 exits the moment its linger ends
+
+  ASSERT_TRUE(pump_until({b.get(), c.get()},
+                         [&] {
+                           return tier_of_0[1] == 2 && tier_of_0[2] == 2 &&
+                                  b->settled() && c->settled();
+                         },
+                         3000ms))
+      << "node 1 saw tier " << tier_of_0[1] << ", node 2 saw tier "
+      << tier_of_0[2];
 }
 
 // ----------------------------------------------- TCP endpoints
@@ -937,6 +1182,70 @@ TEST(NodeCommittee, LateClientCertifiesInsideOldBackoffBand) {
           << slurp(dir.file("out-" + std::to_string(k) + ".err"));
     }
     const std::string out = slurp(dir.file("out-client"));
+    const std::string cert_line = line_with_prefix(out, "CERT ");
+    ASSERT_FALSE(cert_line.empty()) << out;
+    EXPECT_TRUE(crypto::verify_quorum_cert(
+        keys, net::parse_certificate(from_hex(cert_line.substr(5)), wctx),
+        config->members, static_cast<std::size_t>(config->quorum())));
+  }
+}
+
+/// Waits for `pid` until `deadline`; kills it there. Returns its exit code,
+/// or -1 when it had to be killed.
+int wait_exit_by(pid_t pid, std::chrono::steady_clock::time_point deadline) {
+  for (;;) {
+    int status = 0;
+    const pid_t r = ::waitpid(pid, &status, WNOHANG);
+    if (r == pid) return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    if (r < 0) return -1;
+    if (std::chrono::steady_clock::now() >= deadline) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      return -1;
+    }
+    std::this_thread::sleep_for(2ms);
+  }
+}
+
+TEST(NodeCommittee, LingerEndsWhenEveryNodeHasDecided) {
+  const std::string bin = node_bin_or_skip();
+  if (bin.empty()) GTEST_SKIP() << "xcp_node binary not found";
+
+  // A 20 s linger bound that nobody may sit out: every node leaves once all
+  // its peers have announced the decided tier — with the journal and,
+  // without it, on the tier the notaries announce on deciding.
+  consensus::StandaloneCommittee sc;
+  crypto::KeyRegistry keys = sc.make_keys();
+  auto config = sc.make_config(keys);
+  net::WireContext wctx;
+  wctx.roster = &config->members;
+  for (const bool journal : {true, false}) {
+    SCOPED_TRACE(journal ? "with --state-dir" : "without --state-dir");
+    TempDir dir;
+    std::vector<std::string> common = {"--sock-dir", dir.path,
+                                       "--linger-ms", "20000",
+                                       "--wall-limit-ms", "30000"};
+    if (journal) common.insert(common.end(), {"--state-dir", dir.path});
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    std::vector<pid_t> pids;
+    for (int k = 0; k <= sc.notaries; ++k) {
+      auto args = common;
+      args.insert(args.end(), {"--node-id", std::to_string(k)});
+      const pid_t pid =
+          spawn_node(bin, args, dir.file("out-" + std::to_string(k)));
+      ASSERT_GT(pid, 0);
+      pids.push_back(pid);
+    }
+    for (int k = 0; k <= sc.notaries; ++k) {
+      EXPECT_EQ(wait_exit_by(pids[static_cast<std::size_t>(k)], deadline), 0)
+          << "node " << k << " (-1: still lingering after 5 s) "
+          << slurp(dir.file("out-" + std::to_string(k) + ".err"));
+    }
+    const std::string out =
+        slurp(dir.file("out-" + std::to_string(sc.notaries)));
+    EXPECT_NE(line_with_prefix(out, "OUTCOME ").find("quorum=valid"),
+              std::string::npos)
+        << out;
     const std::string cert_line = line_with_prefix(out, "CERT ");
     ASSERT_FALSE(cert_line.empty()) << out;
     EXPECT_TRUE(crypto::verify_quorum_cert(

@@ -27,12 +27,19 @@
 // injector (KIND = prevote|precommit|decide, PHASE = before|torn|after;
 // torn takes the byte count that reaches the file) for the restart harness.
 //
+// Exit: after deciding (or certifying), a node lingers to serve its peers
+// and leaves as soon as every peer has announced the decided tier in its
+// Hello status word and has either left or received this node's flushed
+// output. --linger-ms is only the upper bound on that wait (a peer that
+// never decides, e.g. one killed by kill -9, makes the others wait it out);
+// --linger-ms 0 skips the drain altogether.
+//
 //   xcp_node --node-id K (--sock-dir DIR | --listen ADDR --peer N=ADDR...)
 //            [--notaries 4] [--n 2]
 //            [--deal 13] [--seed 7] [--value commit|abort]
 //            [--base-round-ms 100] [--heartbeat-ms 50]
 //            [--peer-timeout-ms 600] [--wall-limit-ms 15000]
-//            [--linger-ms 300]
+//            [--linger-ms 300]   (upper bound on the post-decision drain)
 //            [--state-dir DIR] [--crash-at KIND:PHASE[:BYTES]]
 //            [--journal-compact]
 //
@@ -94,7 +101,8 @@ struct Args {
                "--peer N=ADDR...) [--notaries M] "
                "[--n N] [--deal D] [--seed S] [--value commit|abort] "
                "[--base-round-ms MS] [--heartbeat-ms MS] "
-               "[--peer-timeout-ms MS] [--wall-limit-ms MS] [--linger-ms MS] "
+               "[--peer-timeout-ms MS] [--wall-limit-ms MS] "
+               "[--linger-ms MAX_MS] "
                "[--state-dir DIR] [--crash-at KIND:PHASE[:BYTES]] "
                "[--journal-compact]\n",
                why);
@@ -389,12 +397,13 @@ int run_node(const Args& args) {
         runtime.run(wall_limit, [&] { return notary.decided(); });
     if (decided) {
       transport.cancel_catchup();
-      if (wal) {
-        transport.set_hello_status(net::hello_status_word(2, recovered));
-      }
+      // Announce the decided tier, journal or not: peers end their linger
+      // once every node has announced it.
+      transport.set_hello_status(net::hello_status_word(2, recovered));
       serve_catchups();
-      // Give the decision broadcast, relays and catch-up answers time to
-      // drain (rejoiners may dial in during the linger window).
+      // Drain the decision broadcast, relays and catch-up answers until
+      // every peer has decided too (rejoiners may dial in meanwhile), or
+      // until the --linger-ms bound.
       runtime.linger(linger);
       std::printf("DECIDED value=%s node=%d\n",
                   consensus::value_name(*notary.decision()), args.node_id);
